@@ -92,7 +92,6 @@ func BenchmarkDeepDescent(b *testing.B) {
 			opts := DefaultOptions()
 			opts.FlatBaseNodes = true
 			opts.FlatInnerNodes = on
-			opts.ScanPipelining = false
 			opts.InnerNodeSize = 64
 			opts.LeafNodeSize = 16
 			tr := New(opts)

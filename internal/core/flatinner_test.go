@@ -9,7 +9,7 @@ import (
 )
 
 // Tests for the inner-node arena layout (Options.FlatInnerNodes): the
-// branch-free window search and the scan-pipelining prefetch.
+// branch-free window search.
 
 // TestWindowSearchDifferential is the three-way search differential: for
 // random key sets (with and without shared prefixes, with and without a
@@ -136,56 +136,5 @@ func TestBranchFreeSearchPrimitive(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestScanPipelining checks the sibling prefetch end to end: a multi-leaf
-// scan with ScanPipelining on visits exactly the same sequence as with it
-// off, under both base layouts, and full scans cross enough leaves that
-// prefetchRight ran against real siblings.
-func TestScanPipelining(t *testing.T) {
-	for _, flat := range []bool{true, false} {
-		t.Run(fmt.Sprintf("flat=%t", flat), func(t *testing.T) {
-			mk := func(pipeline bool) *Tree {
-				opts := DefaultOptions()
-				opts.FlatBaseNodes = flat
-				opts.FlatInnerNodes = flat
-				opts.ScanPipelining = pipeline
-				opts.LeafNodeSize = 16
-				opts.InnerNodeSize = 8
-				tr := New(opts)
-				s := tr.NewSession()
-				defer s.Release()
-				for i := 0; i < 2000; i++ {
-					s.Insert([]byte(fmt.Sprintf("scan:%05d", i*3)), uint64(i))
-				}
-				tr.ConsolidateAll()
-				return tr
-			}
-			on := mk(true)
-			defer on.Close()
-			off := mk(false)
-			defer off.Close()
-
-			collect := func(tr *Tree) []string {
-				s := tr.NewSession()
-				defer s.Release()
-				var got []string
-				s.Scan([]byte("scan:"), 1<<30, func(k []byte, v uint64) bool {
-					got = append(got, fmt.Sprintf("%s=%d", k, v))
-					return true
-				})
-				return got
-			}
-			a, b := collect(on), collect(off)
-			if len(a) != 2000 || len(b) != 2000 {
-				t.Fatalf("scan lengths: pipelined %d, plain %d, want 2000", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("item %d: pipelined %q, plain %q", i, a[i], b[i])
-				}
-			}
-		})
 	}
 }

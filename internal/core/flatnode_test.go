@@ -135,9 +135,7 @@ func TestFlatRouteMatchesSlice(t *testing.T) {
 // TestFlatLayoutDifferential runs one random operation stream against an
 // arena-layout tree (each combination of leaf/inner flat flags) and an
 // all-slice tree with tiny nodes (forcing splits, merges, and
-// consolidations) and demands identical results. The flat side also runs
-// with scan pipelining on, so the sibling prefetch is exercised under
-// every layout combination.
+// consolidations) and demands identical results.
 func TestFlatLayoutDifferential(t *testing.T) {
 	combos := []struct{ leaf, inner bool }{
 		{true, false}, {false, true}, {true, true},
@@ -149,7 +147,6 @@ func TestFlatLayoutDifferential(t *testing.T) {
 					opts := DefaultOptions()
 					opts.FlatBaseNodes = leafFlat
 					opts.FlatInnerNodes = innerFlat
-					opts.ScanPipelining = leafFlat || innerFlat
 					opts.NonUnique = nonUnique
 					opts.LeafNodeSize = 16
 					opts.InnerNodeSize = 8

@@ -5,13 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // FuzzTreeVsModel replays a byte-encoded operation stream against both
 // the tree and a reference map model and fails on any divergence. The
 // stream drives every public operation — insert, delete, update, lookup,
-// scan — plus the batched entry points, in unique and non-unique mode
+// scan (followed by an interleaved Next/Prev iterator walk from the same
+// start) — plus the batched entry points, in unique and non-unique mode
 // and under both GC schemes, on a tree with tiny nodes so a few hundred
 // keys force splits, merges, and consolidations.
 //
@@ -167,7 +169,6 @@ func runFuzzStream(t *testing.T, data []byte) {
 	// layouts; all four leaf × inner combinations are reachable.
 	opts.FlatBaseNodes = hdr&4 == 0
 	opts.FlatInnerNodes = hdr&8 == 0
-	opts.ScanPipelining = opts.anyFlatNodes()
 	// Tiny nodes and short chains so a 512-key space drives splits,
 	// merges, and consolidations.
 	opts.LeafNodeSize = 16
@@ -257,14 +258,20 @@ func fuzzStep(t *testing.T, s *Session, fm *fuzzModel, data []byte) (rest []byte
 		k := fuzzKey(binary.BigEndian.Uint16(data[:2]))
 		data = data[2:]
 		checkLookup(t, fm, string(k), s.Lookup(k, nil))
-	case 4: // scan: start(2) count(1)
+	case 4: // scan, then an iterator walk from the same start: start(2) count(1)
 		if !need(3) {
 			return nil, false
 		}
 		k := fuzzKey(binary.BigEndian.Uint16(data[:2]))
 		n := int(data[2]%32) + 1
+		// The walk reuses the operands, so the opcode space (and every
+		// checked-in stream's decoding) stays as it was: n+16 moves, at
+		// least one full leaf, stepping back where the count byte,
+		// repeated in both halves of the pattern, has a bit set.
+		pattern := uint16(data[2]) * 0x0101
 		data = data[3:]
 		checkScan(t, s, fm, k, n)
+		checkWalk(t, s, fm, k, n+16, pattern)
 	case 5, 6: // insert-batch / delete-batch: m(1) then m x key(2) value(1)
 		if !need(1) {
 			return nil, false
@@ -371,5 +378,47 @@ func checkScan(t *testing.T, s *Session, fm *fuzzModel, start []byte, n int) {
 	})
 	if count != wantCount || len(seen) != wantCount {
 		t.Fatalf("Scan(%x, %d) visited %d (%d distinct), model %d", start, n, count, len(seen), wantCount)
+	}
+}
+
+// checkWalk seeks an iterator to start and makes moves steps, a Prev where
+// pattern's bit (step mod 16) is set and a Next otherwise, checking the
+// position against the model's ordered pairs at every step. Within-key
+// value order is unspecified, so a non-unique position is checked by key
+// plus membership of the value.
+func checkWalk(t *testing.T, s *Session, fm *fuzzModel, start []byte, moves int, pattern uint16) {
+	t.Helper()
+	keys, _ := fm.pairs("")
+	type pair struct {
+		k string
+		v uint64
+	}
+	var want []pair
+	for _, k := range keys {
+		for _, v := range fm.vals(k) {
+			want = append(want, pair{k, v})
+		}
+	}
+	p, _ := slices.BinarySearchFunc(want, string(start), func(e pair, k string) int { return strings.Compare(e.k, k) })
+	it := s.NewIterator()
+	it.Seek(start)
+	for step := 0; ; step++ {
+		if valid := p >= 0 && p < len(want); it.Valid() != valid {
+			t.Fatalf("walk from %x, step %d: Valid() = %v, model %v", start, step, it.Valid(), valid)
+		}
+		if !it.Valid() || step == moves {
+			return
+		}
+		k, v := string(it.Key()), it.Value()
+		if k != want[p].k || !fm.nonUnique && v != want[p].v || fm.nonUnique && !fm.m[k][v] {
+			t.Fatalf("walk from %x, step %d: at (%x, %d), model (%x, %d)", start, step, k, v, want[p].k, want[p].v)
+		}
+		if pattern>>(step%16)&1 != 0 {
+			it.Prev()
+			p--
+		} else {
+			it.Next()
+			p++
+		}
 	}
 }

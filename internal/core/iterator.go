@@ -3,34 +3,53 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"slices"
 
 	"repro/internal/obs"
 )
 
 // Iterator provides ordered forward and backward traversal (§3.2). It
-// never operates on live tree nodes: each positioning step materializes a
-// private, consolidated copy of one logical leaf node, so concurrent
+// never holds recyclable chain memory across calls: each positioning step
+// takes a view of one logical leaf node under the epoch pin, so concurrent
 // inserts, deletes, and SMOs cannot invalidate the cursor. Moving past
-// either end of the copy re-traverses the tree using the copy's low or
+// either end of the view re-traverses the tree using the view's low or
 // high key (Appendix C).
+//
+// A view is zero-copy for the common chain shape — a base node topped by
+// insert/update/delete records and at most pending splits, in a
+// unique-key tree. Base nodes are immutable and owned by the Go GC (only
+// slab delta slots are recycled), so the view reads the base's items in
+// place through the window [0, hi), hi = baseSearch(highKey). The chain's
+// records are copied into the overlay: the newest record per key, sorted.
+// The cursor merges the two streams; an overlay record hides the base
+// item with its key, and an overlay delete emits nothing. Chains the view
+// cannot describe that way (a merge delta, a missing base, non-unique
+// keys, or in-place leaf updates, whose bases are not immutable) get a
+// degenerate view: no base, and an overlay holding the consolidated copy
+// from collect.
 //
 // An Iterator is owned by its Session and must not outlive it or be used
 // concurrently with it from another goroutine.
 type Iterator struct {
 	s *Session
 
-	keys    [][]byte
-	vals    []uint64
+	// The current view.
+	base    *delta   // nil for a degenerate view
+	hi      int      // base items [0, hi) lie below highKey
+	ov      []effRec // overlay, sorted by key; scratch reused across views
 	lowKey  []byte
 	highKey []byte
-	pos     int
-	valid   bool
 
-	// warm absorbs the bytes read by the scan-pipelining prefetch
-	// (Options.ScanPipelining); storing them into the iterator keeps the
-	// touch loop from being optimized away. Each iterator is owned by one
-	// session/goroutine, so the write is race-free.
-	warm byte
+	// The cursor. bi and oi are the lower bounds of the current key in
+	// the base window and the overlay. fromOv says which stream holds the
+	// current item; tie says base[bi] has the current key too and is
+	// hidden by the overlay record.
+	bi, oi int
+	fromOv bool
+	tie    bool
+	curKey []byte
+	curVal uint64
+	valid  bool
 }
 
 // NewIterator returns an unpositioned iterator; call Seek, SeekFirst, or
@@ -45,33 +64,30 @@ func (s *Session) NewIterator() *Iterator { return &Iterator{s: s} }
 func (it *Iterator) Valid() bool { return it.valid }
 
 // mustBePositioned panics with an actionable message when the iterator is
-// not on an item. Without this guard the access below would fail with a
-// bare index-out-of-range that names neither the iterator nor the broken
-// contract.
+// not on an item, naming the method and the broken contract.
 func (it *Iterator) mustBePositioned(method string) {
-	if !it.valid || it.pos < 0 || it.pos >= len(it.keys) {
+	if !it.valid {
 		panic("core: Iterator." + method + " called while not positioned on an item; " +
 			"position with Seek/SeekFirst/SeekToLast and check Valid() before every access")
 	}
 }
 
-// Key returns the current item's key. The slice is shared with the
-// iterator's private copy and must not be modified. Key panics unless
-// Valid() holds.
+// Key returns the current item's key. The slice aliases immutable tree
+// memory and must not be modified. Key panics unless Valid() holds.
 func (it *Iterator) Key() []byte {
 	it.mustBePositioned("Key")
-	return it.keys[it.pos]
+	return it.curKey
 }
 
 // Value returns the current item's value. Value panics unless Valid()
 // holds.
 func (it *Iterator) Value() uint64 {
 	it.mustBePositioned("Value")
-	return it.vals[it.pos]
+	return it.curVal
 }
 
-// loadNode materializes the logical leaf covering key into the iterator.
-func (it *Iterator) loadNode(key []byte) bool {
+// loadNode builds the view of the logical leaf covering key.
+func (it *Iterator) loadNode(key []byte) {
 	s := it.s
 	s.h.Enter()
 	defer s.h.Exit()
@@ -82,70 +98,177 @@ func (it *Iterator) loadNode(key []byte) bool {
 			s.abortBackoff(&spins)
 			continue
 		}
-		t0 := s.phStart()
-		c := s.collect(tr.head)
-		s.phEnd(obs.PhaseChainWalk, t0, uint64(tr.head.depth))
-		it.keys, it.vals = c.keys, c.vals
-		it.lowKey, it.highKey = tr.head.lowKey, tr.head.highKey
-		if s.t.opts.ScanPipelining {
-			it.prefetchRight(tr.head)
-		}
-		return true
+		it.buildView(tr.head)
+		return
 	}
 }
 
-// prefetchRight pipelines a forward scan: while the caller is about to
-// emit the just-materialized leaf, resolve the right sibling's mapping
-// entry and touch its base keys at cache-line stride so the next
-// advanceNode finds them warm instead of paying a cold miss per probe.
-// It runs inside loadNode's epoch pin, so the sibling's chain cannot be
-// reclaimed mid-touch; a sibling mid-SMO is simply skipped — this is an
-// optimization, never a correctness dependency.
-func (it *Iterator) prefetchRight(head *delta) {
-	sib := head.rightSib
-	if sib == invalidNode {
-		return
+// buildView replaces the iterator's view with leaf chain head's. It runs
+// under the caller's epoch pin: the overlay copies each record's key and
+// value out of the (recyclable) slab slots, while the base node itself is
+// immutable and stays readable after the pin is dropped.
+func (it *Iterator) buildView(head *delta) {
+	s := it.s
+	t0 := s.phStart()
+	it.lowKey, it.highKey = head.lowKey, head.highKey
+	ov := it.ov[:0]
+	var base *delta
+	if !s.t.opts.NonUnique && !s.t.opts.InPlaceLeafUpdates {
+	walk:
+		for d := head; ; d = d.next {
+			switch d.kind {
+			case kLeafInsert, kLeafUpdate, kLeafDelete:
+				// Records at or above the high key belong to a split-off
+				// sibling.
+				if keyLT(d.key, head.highKey) {
+					ov = append(ov, effRec{key: d.key, val: d.value, del: d.kind == kLeafDelete})
+				}
+			case kSplit:
+				// The high-key filter above and the base window handle it.
+			case kLeafBase:
+				base = d
+				break walk
+			default:
+				break walk // a merge or an unexpected record: degenerate view
+			}
+			s.chases++
+		}
 	}
-	shead := it.s.t.load(sib)
-	if shead == nil {
-		return
-	}
-	base := shead.base
-	if base == nil {
-		return
-	}
-	// Cap the touch at a few KB: a leaf arena is typically smaller, and a
-	// scan that stops inside the current leaf shouldn't have dragged an
-	// unbounded sibling through the cache.
-	const stride, budget = 64, 4096
-	var w byte
-	if base.offs != nil {
-		a := base.arena
-		n := min(len(a), budget)
-		for i := 0; i < n; i += stride {
-			w ^= a[i]
+	if base != nil {
+		// Stable, so the newest record of each key stays first of its run.
+		slices.SortStableFunc(ov, func(a, b effRec) int { return bytes.Compare(a.key, b.key) })
+		ov = dedupeOverlay(ov)
+		it.hi = base.baseLen()
+		if head.highKey != nil {
+			it.hi, _ = base.baseSearch(head.highKey)
 		}
 	} else {
-		// Slice layout: touching every key defeats the purpose, but the
-		// header array itself is the first dependent load of every probe.
-		n := min(len(base.keys), budget/stride)
-		for i := 0; i < n; i++ {
-			if k := base.keys[i]; len(k) > 0 {
-				w ^= k[0]
-			}
+		c := s.collect(head)
+		ov = ov[:0]
+		for i, k := range c.keys {
+			ov = append(ov, effRec{key: k, val: c.vals[i]})
 		}
+		it.hi = 0
 	}
-	it.warm = w
+	it.base, it.ov = base, ov
+	s.phEnd(obs.PhaseChainWalk, t0, uint64(head.depth))
 }
 
-// loadNodeLeft materializes the logical leaf immediately left of key
-// (i.e. covering key-ε), using the backward traversal rule of Appendix
-// C.2: when a separator equals the search key, take the next-smaller one.
-func (it *Iterator) loadNodeLeft(key []byte) bool {
+// dedupeOverlay keeps the first (newest) record of each run of equal keys
+// in a stably sorted overlay.
+func dedupeOverlay(ov []effRec) []effRec {
+	out := ov[:0]
+	for _, r := range ov {
+		if n := len(out); n > 0 && bytes.Equal(out[n-1].key, r.key) {
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// cmpOvBase compares overlay record r's key against base item j.
+func (it *Iterator) cmpOvBase(r *effRec, j int) int {
+	return bytes.Compare(r.key, it.base.baseKey(j))
+}
+
+// seekView points the cursor's lower bounds at key within the view.
+func (it *Iterator) seekView(key []byte) {
+	it.bi = 0
+	if it.base != nil {
+		it.bi, _ = it.base.baseSearchRange(key, 0, it.hi)
+	}
+	it.oi, _ = slices.BinarySearchFunc(it.ov, key, func(r effRec, k []byte) int {
+		return bytes.Compare(r.key, k)
+	})
+}
+
+func (it *Iterator) onBase() {
+	it.fromOv, it.tie = false, false
+	it.curKey, it.curVal = it.base.baseKey(it.bi), it.base.vals[it.bi]
+}
+
+func (it *Iterator) onOverlay(tie bool) {
+	it.fromOv, it.tie = true, tie
+	it.curKey, it.curVal = it.ov[it.oi].key, it.ov[it.oi].val
+}
+
+// settleForward moves the cursor onto the first visible item at or after
+// its lower bounds, reporting false when the view has none.
+func (it *Iterator) settleForward() bool {
+	for {
+		if it.oi == len(it.ov) {
+			if it.bi == it.hi {
+				return false
+			}
+			it.onBase()
+			return true
+		}
+		r := &it.ov[it.oi]
+		c := -1
+		if it.bi < it.hi {
+			c = it.cmpOvBase(r, it.bi)
+		}
+		switch {
+		case c > 0:
+			it.onBase()
+			return true
+		case r.del:
+			it.oi++
+			if c == 0 {
+				it.bi++
+			}
+		default:
+			it.onOverlay(c == 0)
+			return true
+		}
+	}
+}
+
+// settleBackward moves the cursor onto the last visible item below its
+// lower bounds, reporting false when the view has none.
+func (it *Iterator) settleBackward() bool {
+	for {
+		if it.oi == 0 {
+			if it.bi == 0 {
+				return false
+			}
+			it.bi--
+			it.onBase()
+			return true
+		}
+		r := &it.ov[it.oi-1]
+		c := 1
+		if it.bi > 0 {
+			c = it.cmpOvBase(r, it.bi-1)
+		}
+		if c < 0 {
+			it.bi--
+			it.onBase()
+			return true
+		}
+		it.oi--
+		if c == 0 {
+			it.bi--
+		}
+		if !r.del {
+			it.onOverlay(c == 0)
+			return true
+		}
+	}
+}
+
+// loadNodeLeft builds the view of the logical leaf immediately left of
+// key (i.e. covering key-ε), using the backward traversal rule of
+// Appendix C.2: when a separator equals the search key, take the
+// next-smaller one. A nil key stands for +inf: the descent then always
+// takes the last child and lands on the rightmost leaf.
+func (it *Iterator) loadNodeLeft(key []byte) {
 	s := it.s
 	t := s.t
 	s.h.Enter()
 	defer s.h.Exit()
+	t0 := s.phStart()
 	spins := 0
 restart:
 	for {
@@ -173,7 +296,7 @@ restart:
 			}
 			// The target covers key-ε: it needs highKey >= key. A node
 			// with highKey < key lies too far left; chase right.
-			if head.highKey != nil && keyGT(key, head.highKey) {
+			if head.highKey != nil && (key == nil || keyGT(key, head.highKey)) {
 				if head.rightSib == invalidNode {
 					s.stats.aborts.Add(1)
 					continue restart
@@ -183,17 +306,22 @@ restart:
 			}
 			// Appendix C.2 abort rule: a concurrent SMO can hand us a
 			// node that no longer lies strictly left of the search key.
-			if head.lowKey != nil && !keyGT(key, head.lowKey) {
+			if key != nil && head.lowKey != nil && !keyGT(key, head.lowKey) {
 				s.stats.aborts.Add(1)
 				continue restart
 			}
 			if head.isLeaf {
-				c := s.collect(head)
-				it.keys, it.vals = c.keys, c.vals
-				it.lowKey, it.highKey = head.lowKey, head.highKey
-				return true
+				s.phEnd(obs.PhaseDescend, t0, 0)
+				it.buildView(head)
+				return
 			}
-			child, ok := s.routeInnerLeft(head, key)
+			var child nodeID
+			var ok bool
+			if key == nil {
+				child, ok = s.routeInnerLast(head)
+			} else {
+				child, ok = s.routeInnerLeft(head, key)
+			}
 			if !ok {
 				s.stats.aborts.Add(1)
 				continue restart
@@ -209,44 +337,31 @@ restart:
 func (it *Iterator) Seek(key []byte) {
 	checkKey(key)
 	it.loadNode(key)
-	pos, _ := searchKeys(it.keys, key)
-	it.pos = pos
+	it.seekView(key)
 	it.valid = true
-	if pos >= len(it.keys) {
+	if !it.settleForward() {
 		it.advanceNode()
 	}
 }
 
 // SeekFirst positions the iterator at the tree's smallest item.
 func (it *Iterator) SeekFirst() {
+	// The leftmost leaf has a nil low key; an empty view advances to the
+	// right.
 	it.loadNode([]byte{0})
-	// The leftmost leaf has a nil low key; an empty or drained copy
-	// advances to the right.
-	it.pos = 0
+	it.bi, it.oi = 0, 0
 	it.valid = true
-	if len(it.keys) == 0 {
+	if !it.settleForward() {
 		it.advanceNode()
 	}
 }
 
 // SeekToLast positions the iterator at the tree's largest item.
 func (it *Iterator) SeekToLast() {
-	// Walk to the rightmost leaf by always taking the last child: loading
-	// with +inf is impossible, so chase high keys from the leftmost leaf
-	// would be O(n); instead reuse backward stepping from beyond every
-	// key: start at the rightmost node via repeated right-sibling chase.
-	it.loadNode([]byte{0})
-	for it.highKey != nil {
-		if !it.loadNode(it.highKey) {
-			it.valid = false
-			return
-		}
-	}
-	it.pos = len(it.keys) - 1
-	it.valid = it.pos >= 0
-	if !it.valid && it.lowKey != nil {
-		it.valid = true
-		it.pos = 0
+	it.loadNodeLeft(nil)
+	it.bi, it.oi = it.hi, len(it.ov)
+	it.valid = true
+	if !it.settleBackward() {
 		it.retreatNode()
 	}
 }
@@ -256,8 +371,15 @@ func (it *Iterator) Next() {
 	if !it.valid {
 		return
 	}
-	it.pos++
-	if it.pos >= len(it.keys) {
+	if it.fromOv {
+		it.oi++
+		if it.tie {
+			it.bi++
+		}
+	} else {
+		it.bi++
+	}
+	if !it.settleForward() {
 		it.advanceNode()
 	}
 }
@@ -267,14 +389,14 @@ func (it *Iterator) Prev() {
 	if !it.valid {
 		return
 	}
-	it.pos--
-	if it.pos < 0 {
+	// The lower bounds already exclude the current item.
+	if !it.settleBackward() {
 		it.retreatNode()
 	}
 }
 
 // advanceNode jumps to the next logical leaf (Appendix C.1): re-traverse
-// with the exhausted copy's high key and binary-search it, which lands
+// with the exhausted view's high key and position at it, which lands
 // correctly even if the next node merged or split meanwhile.
 func (it *Iterator) advanceNode() {
 	for {
@@ -284,9 +406,8 @@ func (it *Iterator) advanceNode() {
 		}
 		bound := it.highKey
 		it.loadNode(bound)
-		pos, _ := searchKeys(it.keys, bound)
-		if pos < len(it.keys) {
-			it.pos = pos
+		it.seekView(bound)
+		if it.settleForward() {
 			return
 		}
 		// The node is empty past the bound (e.g. everything deleted);
@@ -304,12 +425,37 @@ func (it *Iterator) retreatNode() {
 		bound := it.lowKey
 		it.loadNodeLeft(bound)
 		// Position on the largest item strictly below bound.
-		pos, _ := searchKeys(it.keys, bound)
-		if pos > 0 {
-			it.pos = pos - 1
+		it.seekView(bound)
+		if it.settleBackward() {
 			return
 		}
-		// Nothing below the bound in this copy; continue left.
+		// Nothing below the bound in this view; continue left.
+	}
+}
+
+// scanIterator returns the session's reusable scan iterator, or a fresh
+// one when a visit callback scans the same session re-entrantly. The
+// caller hands it back with endScan.
+func (s *Session) scanIterator() *Iterator {
+	if s.scanBusy {
+		return s.NewIterator()
+	}
+	s.scanBusy = true
+	s.scanIt.s = s
+	return &s.scanIt
+}
+
+// endScan releases the session's scan iterator. It drops the view's
+// references — the base node and the overlay's keys — so an idle session
+// does not keep its last scanned leaf alive after that chain is
+// consolidated and retired; the overlay keeps its capacity.
+func (s *Session) endScan(it *Iterator) {
+	if it == &s.scanIt {
+		it.base, it.lowKey, it.highKey, it.curKey = nil, nil, nil, nil
+		clear(it.ov[:cap(it.ov)])
+		it.ov = it.ov[:0]
+		it.valid = false
+		s.scanBusy = false
 	}
 }
 
@@ -318,7 +464,8 @@ func (it *Iterator) retreatNode() {
 // number of items visited. This is the YCSB-E range-scan entry point.
 func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64) bool) int {
 	defer s.opDone(obs.OpScan, s.opStart())
-	it := s.NewIterator()
+	it := s.scanIterator()
+	defer s.endScan(it)
 	it.Seek(start)
 	count := 0
 	for it.Valid() && count < n {
@@ -336,7 +483,8 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 // items visited. A nil end means +inf.
 func (s *Session) Range(start, end []byte, visit func(key []byte, value uint64) bool) int {
 	defer s.opDone(obs.OpScan, s.opStart())
-	it := s.NewIterator()
+	it := s.scanIterator()
+	defer s.endScan(it)
 	it.Seek(start)
 	count := 0
 	for it.Valid() && keyLT(it.Key(), end) {
@@ -350,11 +498,20 @@ func (s *Session) Range(start, end []byte, visit func(key []byte, value uint64) 
 }
 
 // ScanReverse visits at most n items in descending order starting at the
-// largest key <= start.
+// largest key <= start (with every value of that key in a non-unique
+// tree).
 func (s *Session) ScanReverse(start []byte, n int, visit func(key []byte, value uint64) bool) int {
 	defer s.opDone(obs.OpScan, s.opStart())
-	it := s.NewIterator()
+	it := s.scanIterator()
+	defer s.endScan(it)
 	it.Seek(start)
+	if s.t.opts.NonUnique {
+		// Step past every value of start; the Prev below then lands on
+		// the last of them.
+		for it.Valid() && bytes.Equal(it.Key(), start) {
+			it.Next()
+		}
+	}
 	if !it.Valid() {
 		it.SeekToLast()
 	} else if !bytes.Equal(it.Key(), start) {

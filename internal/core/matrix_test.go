@@ -13,9 +13,7 @@ import (
 // flag combinations × 2 schemes — so no combination can silently rot
 // (every FlatBaseNodes × FlatInnerNodes pairing is covered). Nodes are
 // tiny so the smoke forces splits, merges, and consolidations; the
-// workload mixes the single-op and batch paths. Scan pipelining rides
-// along with either flat flag, so the prefetch path runs under
-// contention and -race here too.
+// workload mixes the single-op and batch paths.
 func TestOptionsMatrix(t *testing.T) {
 	gcName := map[GCScheme]string{GCDecentralized: "decentralized", GCCentralized: "centralized"}
 	for mask := 0; mask < 64; mask++ {
@@ -26,7 +24,6 @@ func TestOptionsMatrix(t *testing.T) {
 		opts.NonUnique = mask&8 != 0
 		opts.FlatBaseNodes = mask&16 != 0
 		opts.FlatInnerNodes = mask&32 != 0
-		opts.ScanPipelining = opts.anyFlatNodes()
 		opts.LeafNodeSize = 16
 		opts.InnerNodeSize = 8
 		opts.LeafChainLength = 4

@@ -83,12 +83,6 @@ type Options struct {
 	// Independent of FlatBaseNodes so the flatnode experiment can
 	// measure the inner-node contribution on its own.
 	FlatInnerNodes bool
-	// ScanPipelining makes the iterator resolve the current leaf's right
-	// sibling through the mapping table and touch its base arena while
-	// the current leaf is being materialized, so a forward scan finds the
-	// next leaf's keys already cache-resident (the BS-tree/FB+-tree
-	// pipelined-leaf pattern). Point operations are unaffected.
-	ScanPipelining bool
 
 	// LatencyHistograms enables per-session log-bucketed latency
 	// histograms for every public operation class, merged on demand by
@@ -156,7 +150,6 @@ func DefaultOptions() Options {
 		NonUnique:        false,
 		FlatBaseNodes:    true,
 		FlatInnerNodes:   true,
-		ScanPipelining:   true,
 		GC:               GCDecentralized,
 		GCInterval:       40 * time.Millisecond,
 		GCThreshold:      1024,
@@ -176,7 +169,6 @@ func BaselineOptions() Options {
 	o.NonUnique = false
 	o.FlatBaseNodes = false
 	o.FlatInnerNodes = false
-	o.ScanPipelining = false
 	o.GC = GCCentralized
 	o.LeafChainLength = 8
 	o.InnerChainLength = 8

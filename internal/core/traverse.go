@@ -189,6 +189,38 @@ func (s *Session) routeInnerLeft(head *delta, key []byte) (nodeID, bool) {
 	}
 }
 
+// routeInnerLast resolves the child covering the top of a rightmost
+// inner node's range, i.e. routeInner with a key above every separator:
+// a separator record whose interval reaches the node's (nil) high key
+// decides, a merge hands over to the absorbed right branch, and a base
+// routes to its last child. The caller guarantees head's high key is nil.
+func (s *Session) routeInnerLast(head *delta) (nodeID, bool) {
+	d := head
+	for {
+		switch d.kind {
+		case kInnerInsert:
+			if d.nextKey == nil {
+				return d.child, true
+			}
+		case kInnerDelete:
+			if d.nextKey == nil {
+				return d.leftChild, true
+			}
+		case kMerge:
+			d = d.mergeContent
+			continue
+		case kInnerBase:
+			return d.kids[len(d.kids)-1], true
+		default:
+			// A split cannot sit under a nil high key; anything else is
+			// not an inner chain.
+			return 0, false
+		}
+		s.chases++
+		d = d.next
+	}
+}
+
 // helpMerge redirects a traversal that hit a ∆remove record: it locates
 // the left sibling through the parent snapshot, posts the ∆merge if no one
 // has yet (Stage II), and returns the node now owning the removed range.

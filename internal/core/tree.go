@@ -208,6 +208,12 @@ type Session struct {
 	delScratch []effRec
 	batchOrd   []batchEnt
 	released   bool
+
+	// scanIt is the iterator Scan, Range and ScanReverse reuse, so a
+	// steady-state scan allocates nothing; scanBusy marks it in use by a
+	// scan whose visit callback may scan again.
+	scanIt   Iterator
+	scanBusy bool
 }
 
 // sessionStats are the per-worker counters behind Stats and Table 2.

@@ -361,9 +361,9 @@ func FlatNode(w io.Writer, sc Scale) {
 // flatInnerArm runs the inner-node layout arm: the same interleaved-duel
 // design as the leaf arm, but on a deliberately deep tree (inner fanout
 // shrunk to 8, so Email-scale populations stand 4-5 inner levels tall)
-// and with FlatInnerNodes+ScanPipelining as the on/off axis. Both sides
-// keep FlatBaseNodes on, so the duel isolates the inner layout: every
-// lookup pays InnerLevels routing probes before it ever touches a leaf.
+// and with FlatInnerNodes as the on/off axis. Both sides keep
+// FlatBaseNodes on, so the duel isolates the inner layout: every lookup
+// pays InnerLevels routing probes before it ever touches a leaf.
 func flatInnerArm(sc Scale) FlatInnerArm {
 	var arm FlatInnerArm
 	// Fanout 64 makes each inner search a real multi-compare probe (a
@@ -395,7 +395,6 @@ func flatInnerArm(sc Scale) FlatInnerArm {
 		opts := core.DefaultOptions()
 		opts.FlatBaseNodes = true
 		opts.FlatInnerNodes = on
-		opts.ScanPipelining = on
 		opts.InnerNodeSize = innerFanout
 		opts.LeafNodeSize = leafSize
 		s := &side{idx: index.NewBwTreeWith(label, opts)}
@@ -412,11 +411,10 @@ func flatInnerArm(sc Scale) FlatInnerArm {
 	defer on.idx.Close()
 
 	// Scan-heavy phase (YCSB-E): every scan descends through the inner
-	// levels once, then walks right-sibling leaves — the path scan
-	// pipelining targets. Interleaved in alternating segments, like the
-	// lookup duel below, so clock drift and GC waves hit both sides
-	// equally. Consolidating afterwards restores the pure-base state the
-	// lookup duel wants.
+	// levels once, then walks right-sibling leaves. Interleaved in
+	// alternating segments, like the lookup duel below, so clock drift
+	// and GC waves hit both sides equally. Consolidating afterwards
+	// restores the pure-base state the lookup duel wants.
 	scanOps := sc.Ops / 8
 	if scanOps < 1 {
 		scanOps = 1
