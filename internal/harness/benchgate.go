@@ -1,28 +1,15 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"strconv"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
-
-// gateFailures counts acceptance-gate failures (bench-gate regressions,
-// checked-experiment violations) so command frontends can turn them into
-// a non-zero exit without parsing report text.
-var gateFailures atomic.Int64
-
-// GateFailures returns the number of gate failures recorded by
-// experiments run in this process.
-func GateFailures() int { return int(gateFailures.Load()) }
 
 // BenchGateFile is the report the bench-gate experiment writes and the
 // committed baseline it compares against.
@@ -68,34 +55,15 @@ type BenchGatePoint struct {
 // request-level batch.
 const benchGateBatch = 2048
 
-// envFloat reads a float64 override from the environment.
-func envFloat(name string, def float64) float64 {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
-			return v
-		}
-	}
-	return def
-}
-
 // BenchGate is the benchmark-regression gate: it measures the OpenBw-Tree
-// on the read-heavy YCSB-C mix unbatched and batched (window of 2048),
-// writes the result to BENCH_hotpath.json (override with BENCH_GATE_OUT),
-// and fails the gate when
+// on the read-heavy YCSB-C mix unbatched and batched (window of 2048) and
+// checks the report against the "hotpath" bounds (gate.go): the batched
+// path must beat the unbatched path measured in the same process by the
+// speedup floor, and batched throughput, p99, allocs/op and bytes/op must
+// hold within tolerance of the committed baseline. Allocation bounds carry
+// an absolute slack: the baseline sits near zero allocs/op, where a
+// percentage tolerance would permit nothing (or everything).
 //
-//   - the batched path is not at least BENCH_GATE_MIN_SPEEDUP (default
-//     1.15) times faster than the unbatched path measured in the same
-//     process, or
-//   - a committed baseline exists (BENCH_GATE_BASELINE, default
-//     bench/BENCH_hotpath.json) and batched throughput dropped more than
-//     BENCH_GATE_TOLERANCE (default 0.25) below it, or batched p99 rose
-//     more than twice that tolerance above it, or batched allocs/op rose
-//     more than BENCH_GATE_ALLOC_SLACK (default 0.5, absolute) above it,
-//     or batched bytes/op rose past baseline*(1+tolerance) +
-//     BENCH_GATE_BYTES_SLACK (default 64).
-//
-// The tolerance is deliberately generous: the gate runs on shared CI
-// machines and must only catch real regressions, not scheduler noise.
 // Both modes run with the tree's internal latency histograms enabled so
 // the p99 comparison carries equal instrumentation overhead.
 func BenchGate(w io.Writer, sc Scale) {
@@ -142,16 +110,6 @@ func BenchGate(w io.Writer, sc Scale) {
 		rep.Speedup = rep.Batched.Mops / rep.Unbatched.Mops
 	}
 
-	out := os.Getenv("BENCH_GATE_OUT")
-	if out == "" {
-		out = "BENCH_hotpath.json"
-	}
-	if data, err := json.MarshalIndent(&rep, "", "  "); err == nil {
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(w, "bench-gate: cannot write %s: %v\n", out, err)
-		}
-	}
-
 	tbl := NewTable(fmt.Sprintf("Bench gate: YCSB-C Rand-Int, %d threads, batch=%d", sc.Threads, benchGateBatch),
 		"Mops/s", "p50 µs", "p99 µs", "allocs/op", "B/op", "leaf hits", "parent hits")
 	tbl.AddRow("unbatched", f3(rep.Unbatched.Mops), fmt.Sprintf("%.2f", rep.Unbatched.P50us),
@@ -161,62 +119,7 @@ func BenchGate(w io.Writer, sc Scale) {
 		fmt.Sprintf("%.2f", rep.Batched.P99us),
 		fmt.Sprintf("%.3f", rep.Batched.AllocsPerOp), fmt.Sprintf("%.1f", rep.Batched.BytesPerOp),
 		fmt.Sprint(rep.Batched.LeafHits), fmt.Sprint(rep.Batched.ParentHits))
-	tbl.Note("Report written to %s.", out)
 	tbl.WriteTo(w)
 
-	failed := false
-	minSpeedup := envFloat("BENCH_GATE_MIN_SPEEDUP", 1.15)
-	if rep.Speedup < minSpeedup {
-		failed = true
-		fmt.Fprintf(w, "bench-gate: FAIL batched speedup %.3fx < required %.2fx\n", rep.Speedup, minSpeedup)
-	} else {
-		fmt.Fprintf(w, "bench-gate: batched speedup %.3fx (>= %.2fx)\n", rep.Speedup, minSpeedup)
-	}
-
-	baselinePath := os.Getenv("BENCH_GATE_BASELINE")
-	if baselinePath == "" {
-		baselinePath = "bench/BENCH_hotpath.json"
-	}
-	if data, err := os.ReadFile(baselinePath); err == nil {
-		var base BenchGateFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(w, "bench-gate: unreadable baseline %s: %v\n", baselinePath, err)
-		} else {
-			tol := envFloat("BENCH_GATE_TOLERANCE", 0.25)
-			if floor := base.Batched.Mops * (1 - tol); rep.Batched.Mops < floor {
-				failed = true
-				fmt.Fprintf(w, "bench-gate: FAIL batched %.3f Mops/s under baseline floor %.3f (baseline %.3f, tolerance %.0f%%)\n",
-					rep.Batched.Mops, floor, base.Batched.Mops, tol*100)
-			}
-			if ceil := base.Batched.P99us * (1 + 2*tol); base.Batched.P99us > 0 && rep.Batched.P99us > ceil {
-				failed = true
-				fmt.Fprintf(w, "bench-gate: FAIL batched p99 %.2fµs over baseline ceiling %.2fµs (baseline %.2fµs)\n",
-					rep.Batched.P99us, ceil, base.Batched.P99us)
-			}
-			// Allocation gates are absolute-slack, not relative: the
-			// baseline sits near zero allocs/op, where a percentage
-			// tolerance would permit nothing (or everything).
-			allocSlack := envFloat("BENCH_GATE_ALLOC_SLACK", 0.5)
-			if ceil := base.Batched.AllocsPerOp + allocSlack; rep.Batched.AllocsPerOp > ceil {
-				failed = true
-				fmt.Fprintf(w, "bench-gate: FAIL batched %.3f allocs/op over baseline ceiling %.3f (baseline %.3f)\n",
-					rep.Batched.AllocsPerOp, ceil, base.Batched.AllocsPerOp)
-			}
-			bytesSlack := envFloat("BENCH_GATE_BYTES_SLACK", 64)
-			if ceil := base.Batched.BytesPerOp*(1+tol) + bytesSlack; rep.Batched.BytesPerOp > ceil {
-				failed = true
-				fmt.Fprintf(w, "bench-gate: FAIL batched %.1f B/op over baseline ceiling %.1f (baseline %.1f)\n",
-					rep.Batched.BytesPerOp, ceil, base.Batched.BytesPerOp)
-			}
-			if !failed {
-				fmt.Fprintf(w, "bench-gate: within tolerance of baseline %s (batched %.3f vs %.3f Mops/s)\n",
-					baselinePath, rep.Batched.Mops, base.Batched.Mops)
-			}
-		}
-	} else {
-		fmt.Fprintf(w, "bench-gate: no baseline at %s; speedup check only\n", baselinePath)
-	}
-	if failed {
-		gateFailures.Add(1)
-	}
+	checkGate(w, "hotpath", &rep, gateBounds["hotpath"])
 }

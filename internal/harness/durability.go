@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -71,10 +70,8 @@ func durInsertRange(d *bwtree.Durable, lo, hi uint64) error {
 //   - checkpointed recovery: snapshot bulk-load rate plus tail replay,
 //   - the group-commit shape (fsync latency, records per fsync).
 //
-// The JSON report goes to BENCH_durability.json (override with
-// DURABILITY_GATE_OUT). The gate fails when WAL-on throughput falls under
-// DURABILITY_GATE_MIN_RATIO (default 0.5) of WAL-off, or the replay rate
-// falls under DURABILITY_GATE_MIN_REPLAY Mops/s (default 1.0).
+// The report is checked against the "durability" bounds (gate.go): a
+// floor on the WAL-on/off throughput ratio and on the replay rate.
 func Durability(w io.Writer, sc Scale) {
 	var rep DurabilityFile
 	keys := sc.Keys
@@ -238,16 +235,6 @@ func Durability(w io.Writer, sc Scale) {
 	}
 	d.Close()
 
-	out := os.Getenv("DURABILITY_GATE_OUT")
-	if out == "" {
-		out = "BENCH_durability.json"
-	}
-	if data, err := json.MarshalIndent(&rep, "", "  "); err == nil {
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(w, "durability: cannot write %s: %v\n", out, err)
-		}
-	}
-
 	tbl := NewTable(fmt.Sprintf("Durability: %d keys + %d tail ops, %d threads", keys, tail, sc.Threads),
 		"Mops/s")
 	tbl.AddRow("insert, WAL off", f3(rep.WalOff))
@@ -257,25 +244,7 @@ func Durability(w io.Writer, sc Scale) {
 	tbl.AddRow("recovery: tail replay", f3(rep.TailReplay))
 	tbl.Note("WAL-on/off ratio %.3f; %d fsyncs (p50 %.1fµs, p99 %.1fµs), mean batch %.0f records, %.1f MiB logged.",
 		rep.Ratio, rep.Syncs, rep.FsyncP50us, rep.FsyncP99us, rep.MeanBatch, float64(rep.LogBytes)/(1<<20))
-	tbl.Note("Report written to %s.", out)
 	tbl.WriteTo(w)
 
-	failed := false
-	minRatio := envFloat("DURABILITY_GATE_MIN_RATIO", 0.5)
-	if rep.Ratio < minRatio {
-		failed = true
-		fmt.Fprintf(w, "durability: FAIL WAL-on/off ratio %.3f < required %.2f\n", rep.Ratio, minRatio)
-	} else {
-		fmt.Fprintf(w, "durability: WAL-on/off ratio %.3f (>= %.2f)\n", rep.Ratio, minRatio)
-	}
-	minReplay := envFloat("DURABILITY_GATE_MIN_REPLAY", 1.0)
-	if rep.Replay < minReplay {
-		failed = true
-		fmt.Fprintf(w, "durability: FAIL replay %.3f Mops/s < required %.2f\n", rep.Replay, minReplay)
-	} else {
-		fmt.Fprintf(w, "durability: replay %.3f Mops/s (>= %.2f)\n", rep.Replay, minReplay)
-	}
-	if failed {
-		gateFailures.Add(1)
-	}
+	checkGate(w, "durability", &rep, gateBounds["durability"])
 }

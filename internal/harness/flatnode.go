@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -60,10 +58,9 @@ type FlatInnerArm struct {
 	// LookupSpeedup is the On/Off consolidated-lookup speedup, estimated
 	// as the median of per-segment-pair duration ratios from the
 	// interleaved duel (robust against machine-noise phases and GC-pause
-	// outliers; gated >= FLATNODE_GATE_MIN_INNER_SPEEDUP). ScanRatio is
-	// On/Off YCSB-E throughput (gated not to regress). GCPtrsReduction
-	// is Off/On GC-visible pointers per inner node (gated >=
-	// FLATNODE_GATE_MIN_INNER_GC_REDUCTION).
+	// outliers). ScanRatio is On/Off YCSB-E throughput. GCPtrsReduction
+	// is Off/On GC-visible pointers per inner node. All three are gated
+	// (see the "flatnode" bounds in gate.go).
 	LookupSpeedup   float64 `json:"lookup_speedup"`
 	ScanRatio       float64 `json:"scan_ratio"`
 	GCPtrsReduction float64 `json:"gc_ptrs_reduction"`
@@ -115,20 +112,13 @@ type FlatNodePoint struct {
 // single-threaded unique-key Lookup throughput and allocations over a
 // fully consolidated tree — the pure base-probe regime the layout
 // changes — and (b) the read-mostly (YCSB-B, uniform requests — see the
-// note above) and scan (YCSB-E) mixes for context. It writes the
-// result to BENCH_flatnode.json
-// (override with FLATNODE_GATE_OUT), and fails the gate when
-//
-//   - the flat layout is not at least FLATNODE_GATE_MIN_SPEEDUP (default
-//     1.15) times the slice layout's consolidated Lookup throughput
-//     measured in the same process (the mixed-phase ratios are reported,
-//     not gated: delta-chain replay and update appends cost the same
-//     under both layouts and dilute them toward 1), or
-//   - flat unique-key Lookup allocates (more than FLATNODE_GATE_MAX_ALLOCS
-//     allocs/op, default 0.01), or
-//   - a committed baseline exists (FLATNODE_GATE_BASELINE, default
-//     bench/BENCH_flatnode.json) and flat Lookup throughput dropped
-//     more than FLATNODE_GATE_TOLERANCE (default 0.25) below it.
+// note above) and scan (YCSB-E) mixes for context. It then runs the
+// inner-node arm (flatInnerArm) and checks the whole report against the
+// "flatnode" bounds (gate.go): the in-process flat/slice Lookup speedup,
+// allocation-free flat Lookup, and flat Lookup throughput against the
+// committed baseline, plus the inner arm's bounds. The mixed-phase ratios
+// are reported, not gated: delta-chain replay and update appends cost the
+// same under both layouts and dilute them toward 1.
 //
 // Email keys are the interesting case for a layout experiment: variable
 // string-like keys with long shared prefixes, where the slice layout
@@ -153,11 +143,9 @@ func FlatNode(w io.Writer, sc Scale) {
 	// one pointer per key versus three per node — is part of what the
 	// experiment exists to show, and at the default GOGC the 5% update
 	// churn never triggers a collection mid-phase, silently excluding
-	// mark work from both sides. FLATNODE_GC_PERCENT (default 20, 0
-	// disables the override) pins GC pacing identically for both layouts.
-	if pct := int(envFloat("FLATNODE_GC_PERCENT", 20)); pct > 0 {
-		defer debug.SetGCPercent(debug.SetGCPercent(pct))
-	}
+	// mark work from both sides. GOGC=20 pins GC pacing identically for
+	// both layouts.
+	defer debug.SetGCPercent(debug.SetGCPercent(20))
 
 	scanOps := sc.Ops / 8 // scans visit ~48 pairs each
 	if scanOps < 1 {
@@ -286,16 +274,6 @@ func FlatNode(w io.Writer, sc Scale) {
 	}
 	rep.Inner = flatInnerArm(sc)
 
-	out := os.Getenv("FLATNODE_GATE_OUT")
-	if out == "" {
-		out = "BENCH_flatnode.json"
-	}
-	if data, err := json.MarshalIndent(&rep, "", "  "); err == nil {
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(w, "flatnode: cannot write %s: %v\n", out, err)
-		}
-	}
-
 	tbl := NewTable(fmt.Sprintf("Flatnode gate: Email keys, %d threads", sc.Threads),
 		"lookup Mops/s", "read Mops/s", "scan Mops/s", "lookup allocs/op",
 		"GC ptrs/leaf", "leaf B/entry")
@@ -306,56 +284,12 @@ func FlatNode(w io.Writer, sc Scale) {
 	}
 	addRow("slice", rep.Slice)
 	addRow("flat", rep.Flat)
-	tbl.Note("Report written to %s.", out)
+	tbl.Note("flat/slice lookup speedup %.3fx, read-mostly %.3fx, scan %.3fx.",
+		rep.LookupSpeedup, rep.ReadMostlySpeedup, rep.ScanSpeedup)
 	tbl.WriteTo(w)
+	flatInnerTable(w, rep.Inner)
 
-	failed := false
-	minSpeedup := envFloat("FLATNODE_GATE_MIN_SPEEDUP", 1.15)
-	if rep.LookupSpeedup < minSpeedup {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL flat/slice lookup speedup %.3fx < required %.2fx\n",
-			rep.LookupSpeedup, minSpeedup)
-	} else {
-		fmt.Fprintf(w, "flatnode: flat/slice lookup speedup %.3fx (>= %.2fx), read-mostly %.3fx, scan %.3fx\n",
-			rep.LookupSpeedup, minSpeedup, rep.ReadMostlySpeedup, rep.ScanSpeedup)
-	}
-	maxAllocs := envFloat("FLATNODE_GATE_MAX_ALLOCS", 0.01)
-	if rep.Flat.LookupAllocsPerOp > maxAllocs {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL flat Lookup allocates %.4f allocs/op (max %.4f)\n",
-			rep.Flat.LookupAllocsPerOp, maxAllocs)
-	} else {
-		fmt.Fprintf(w, "flatnode: flat Lookup %.4f allocs/op (max %.4f)\n",
-			rep.Flat.LookupAllocsPerOp, maxAllocs)
-	}
-
-	baselinePath := os.Getenv("FLATNODE_GATE_BASELINE")
-	if baselinePath == "" {
-		baselinePath = "bench/BENCH_flatnode.json"
-	}
-	if data, err := os.ReadFile(baselinePath); err == nil {
-		var base FlatNodeFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(w, "flatnode: unreadable baseline %s: %v\n", baselinePath, err)
-		} else {
-			tol := envFloat("FLATNODE_GATE_TOLERANCE", 0.25)
-			if floor := base.Flat.LookupMops * (1 - tol); rep.Flat.LookupMops < floor {
-				failed = true
-				fmt.Fprintf(w, "flatnode: FAIL flat lookup %.3f Mops/s under baseline floor %.3f (baseline %.3f, tolerance %.0f%%)\n",
-					rep.Flat.LookupMops, floor, base.Flat.LookupMops, tol*100)
-			} else {
-				fmt.Fprintf(w, "flatnode: within tolerance of baseline %s (flat lookup %.3f vs %.3f Mops/s)\n",
-					baselinePath, rep.Flat.LookupMops, base.Flat.LookupMops)
-			}
-		}
-	} else {
-		fmt.Fprintf(w, "flatnode: no baseline at %s; in-process checks only\n", baselinePath)
-	}
-	if failed {
-		gateFailures.Add(1)
-	}
-
-	flatInnerGates(w, &rep)
+	checkGate(w, "flatnode", &rep, gateBounds["flatnode"])
 }
 
 // flatInnerArm runs the inner-node layout arm: the same interleaved-duel
@@ -529,21 +463,9 @@ func flatInnerArm(sc Scale) FlatInnerArm {
 	return arm
 }
 
-// flatInnerGates renders the inner arm's table and applies its gates:
-//
-//   - On/Off consolidated-lookup speedup >= FLATNODE_GATE_MIN_INNER_SPEEDUP
-//     (default 1.10) on a tree at least 3 inner levels deep,
-//   - scan throughput no worse than leaf-only flat beyond
-//     FLATNODE_GATE_SCAN_TOLERANCE (default 0.15),
-//   - GC-visible pointers per inner node reduced at least
-//     FLATNODE_GATE_MIN_INNER_GC_REDUCTION times (default 5),
-//   - flat-inner Lookup stays allocation-free (FLATNODE_GATE_MAX_ALLOCS),
-//   - and a committed baseline's inner-arm lookup throughput holds within
-//     FLATNODE_GATE_INNER_TOLERANCE (default 0.35 — more relaxed than the
-//     leaf arm: the deep-tree duel runs fewer probes per level and is
-//     noisier on shared machines).
-func flatInnerGates(w io.Writer, rep *FlatNodeFile) {
-	arm := rep.Inner
+// flatInnerTable renders the inner arm's table; its bounds are part of
+// the "flatnode" table in gate.go.
+func flatInnerTable(w io.Writer, arm FlatInnerArm) {
 	tbl := NewTable(fmt.Sprintf("Flatnode inner arm: fanout %d, %d inner levels",
 		arm.InnerNodeSize, arm.InnerLevels),
 		"lookup Mops/s", "scan Mops/s", "lookup allocs/op",
@@ -557,68 +479,7 @@ func flatInnerGates(w io.Writer, rep *FlatNodeFile) {
 	}
 	addRow("inner-off", arm.Off)
 	addRow("inner-on", arm.On)
+	tbl.Note("on/off lookup speedup %.3fx (median of segment-pair ratios), scan ratio %.3fx, GC pointers %.1fx fewer.",
+		arm.LookupSpeedup, arm.ScanRatio, arm.GCPtrsReduction)
 	tbl.WriteTo(w)
-
-	failed := false
-	if arm.InnerLevels < 3 {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL inner arm tree only %d inner levels deep (need >= 3)\n",
-			arm.InnerLevels)
-	}
-	minInner := envFloat("FLATNODE_GATE_MIN_INNER_SPEEDUP", 1.10)
-	if arm.LookupSpeedup < minInner {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL inner on/off lookup speedup %.3fx < required %.2fx\n",
-			arm.LookupSpeedup, minInner)
-	} else {
-		fmt.Fprintf(w, "flatnode: inner on/off lookup speedup %.3fx (>= %.2fx) over %d inner levels\n",
-			arm.LookupSpeedup, minInner, arm.InnerLevels)
-	}
-	scanTol := envFloat("FLATNODE_GATE_SCAN_TOLERANCE", 0.15)
-	if arm.ScanRatio < 1-scanTol {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL inner-on scan ratio %.3fx regressed below %.3fx of leaf-only flat\n",
-			arm.ScanRatio, 1-scanTol)
-	} else {
-		fmt.Fprintf(w, "flatnode: inner-on scan ratio %.3fx (floor %.3fx)\n", arm.ScanRatio, 1-scanTol)
-	}
-	minGC := envFloat("FLATNODE_GATE_MIN_INNER_GC_REDUCTION", 5)
-	if arm.GCPtrsReduction < minGC {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL inner GC-pointer reduction %.1fx < required %.1fx (%.1f -> %.1f ptrs/inner)\n",
-			arm.GCPtrsReduction, minGC, arm.Off.GCPtrsPerInner, arm.On.GCPtrsPerInner)
-	} else {
-		fmt.Fprintf(w, "flatnode: inner GC pointers %.1f -> %.1f per node (%.1fx reduction)\n",
-			arm.Off.GCPtrsPerInner, arm.On.GCPtrsPerInner, arm.GCPtrsReduction)
-	}
-	maxAllocs := envFloat("FLATNODE_GATE_MAX_ALLOCS", 0.01)
-	if arm.On.LookupAllocsPerOp > maxAllocs {
-		failed = true
-		fmt.Fprintf(w, "flatnode: FAIL inner-on Lookup allocates %.4f allocs/op (max %.4f)\n",
-			arm.On.LookupAllocsPerOp, maxAllocs)
-	}
-
-	baselinePath := os.Getenv("FLATNODE_GATE_BASELINE")
-	if baselinePath == "" {
-		baselinePath = "bench/BENCH_flatnode.json"
-	}
-	if data, err := os.ReadFile(baselinePath); err == nil {
-		var base FlatNodeFile
-		// Baselines predating the inner arm have a zero Inner block; only
-		// compare once a regenerated baseline carries real numbers.
-		if json.Unmarshal(data, &base) == nil && base.Inner.On.LookupMops > 0 {
-			tol := envFloat("FLATNODE_GATE_INNER_TOLERANCE", 0.35)
-			if floor := base.Inner.On.LookupMops * (1 - tol); arm.On.LookupMops < floor {
-				failed = true
-				fmt.Fprintf(w, "flatnode: FAIL inner-on lookup %.3f Mops/s under baseline floor %.3f (baseline %.3f, tolerance %.0f%%)\n",
-					arm.On.LookupMops, floor, base.Inner.On.LookupMops, tol*100)
-			} else {
-				fmt.Fprintf(w, "flatnode: inner arm within tolerance of baseline (%.3f vs %.3f Mops/s)\n",
-					arm.On.LookupMops, base.Inner.On.LookupMops)
-			}
-		}
-	}
-	if failed {
-		gateFailures.Add(1)
-	}
 }

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/bwtree"
@@ -70,14 +68,12 @@ const maxServerShards = 16
 // gate protects), point YCSB-C (one frame per op — client-observed
 // round-trip percentiles), and YCSB-E (cross-shard scatter-gather scans).
 //
-// The report goes to BENCH_server.json (SERVER_GATE_OUT); with a
-// committed baseline (SERVER_GATE_BASELINE, default
-// bench/BENCH_server.json) the gate fails when pipelined throughput
-// drops more than SERVER_GATE_TOLERANCE (default 0.30 — loopback
-// scheduling is noisier than in-process runs) below baseline, or point
-// round-trip p99 rises more than twice that tolerance above it. Any
-// server-side protocol error or a store count that disagrees with the
-// loaded key population fails the gate unconditionally.
+// The report is checked against the "server" bounds (gate.go): pipelined
+// throughput and point round-trip p99 against the committed baseline,
+// with tolerances wider than in-process gates because loopback scheduling
+// is noisier. Any server-side protocol error, a failed store validation,
+// or a store count that disagrees with the loaded key population fails
+// the gate unconditionally.
 func ServerGate(w io.Writer, sc Scale) {
 	shards := sc.Threads
 	if shards < 1 {
@@ -182,16 +178,6 @@ func ServerGate(w io.Writer, sc Scale) {
 		fmt.Fprintf(w, "server: FAIL store validation: %v\n", err)
 	}
 
-	out := os.Getenv("SERVER_GATE_OUT")
-	if out == "" {
-		out = "BENCH_server.json"
-	}
-	if data, err := json.MarshalIndent(&rep, "", "  "); err == nil {
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(w, "server: cannot write %s: %v\n", out, err)
-		}
-	}
-
 	tbl := NewTable(fmt.Sprintf("Serving tier: %d shards over loopback TCP, %d conns, batch=%d",
 		shards, sc.Threads, serverGateBatch), "ops", "Mops/s", "p50 µs", "p99 µs")
 	for _, row := range []struct {
@@ -202,38 +188,10 @@ func ServerGate(w io.Writer, sc Scale) {
 			fmt.Sprintf("%.2f", row.pt.P50us), fmt.Sprintf("%.2f", row.pt.P99us))
 	}
 	tbl.Note("Pipelined/load latencies are per %d-op batch frame; point/scan are per-request round trips.", serverGateBatch)
-	tbl.Note("Report written to %s.", out)
 	tbl.WriteTo(w)
 
-	baselinePath := os.Getenv("SERVER_GATE_BASELINE")
-	if baselinePath == "" {
-		baselinePath = "bench/BENCH_server.json"
-	}
-	if data, err := os.ReadFile(baselinePath); err == nil {
-		var base ServerGateFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(w, "server: unreadable baseline %s: %v\n", baselinePath, err)
-		} else {
-			tol := envFloat("SERVER_GATE_TOLERANCE", 0.30)
-			if floor := base.Pipelined.Mops * (1 - tol); rep.Pipelined.Mops < floor {
-				failed = true
-				fmt.Fprintf(w, "server: FAIL pipelined %.3f Mops/s under baseline floor %.3f (baseline %.3f, tolerance %.0f%%)\n",
-					rep.Pipelined.Mops, floor, base.Pipelined.Mops, tol*100)
-			}
-			if ceil := base.Point.P99us * (1 + 2*tol); base.Point.P99us > 0 && rep.Point.P99us > ceil {
-				failed = true
-				fmt.Fprintf(w, "server: FAIL point p99 %.2fµs over baseline ceiling %.2fµs (baseline %.2fµs)\n",
-					rep.Point.P99us, ceil, base.Point.P99us)
-			}
-			if !failed {
-				fmt.Fprintf(w, "server: within tolerance of baseline %s (pipelined %.3f vs %.3f Mops/s)\n",
-					baselinePath, rep.Pipelined.Mops, base.Pipelined.Mops)
-			}
-		}
-	} else {
-		fmt.Fprintf(w, "server: no baseline at %s; correctness checks only\n", baselinePath)
-	}
 	if failed {
 		gateFailures.Add(1)
 	}
+	checkGate(w, "server", &rep, gateBounds["server"])
 }

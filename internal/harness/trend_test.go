@@ -2,19 +2,22 @@ package harness
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestTrendListsCommittedBaselines runs Trend over the repo's real bench/
-// directory and asserts every committed baseline file shows up as a
-// series with at least one point. This is the registry of gated
-// experiments: adding a new BENCH_*.json without trend coverage, or
-// renaming one, fails here.
+// directory and asserts that every gate in gateBounds has its committed
+// baseline listed as a series with at least one point, and that every
+// bound's metric path resolves in that baseline, so a typo or a renamed
+// report field cannot silently disable a bound.
 func TestTrendListsCommittedBaselines(t *testing.T) {
+	const dir = "../../bench"
 	var b strings.Builder
-	if err := Trend(&b, "../../bench", true); err != nil {
-		t.Fatalf("trend over ../../bench: %v", err)
+	if err := Trend(&b, dir, true); err != nil {
+		t.Fatalf("trend over %s: %v", dir, err)
 	}
 	var series []TrendSeries
 	if err := json.Unmarshal([]byte(b.String()), &series); err != nil {
@@ -24,18 +27,27 @@ func TestTrendListsCommittedBaselines(t *testing.T) {
 	for _, s := range series {
 		got[s.File] = len(s.Points)
 	}
-	for _, want := range []string{
-		"BENCH_hotpath.json",
-		"BENCH_flatnode.json",
-		"BENCH_durability.json",
-		"BENCH_obs.json",
-		"BENCH_server.json",
-		"BENCH_txn.json",
-	} {
-		if n, ok := got[want]; !ok {
-			t.Errorf("trend missing baseline %s (have %v)", want, got)
+	for name, bounds := range gateBounds {
+		file := "BENCH_" + name + ".json"
+		if n, ok := got[file]; !ok {
+			t.Errorf("trend missing baseline %s (have %v)", file, got)
 		} else if n == 0 {
-			t.Errorf("trend series %s has no points", want)
+			t.Errorf("trend series %s has no points", file)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Errorf("gate %s: %v", name, err)
+			continue
+		}
+		metrics, err := flattenMetrics(blob)
+		if err != nil {
+			t.Errorf("gate %s: %v", name, err)
+			continue
+		}
+		for _, bd := range bounds {
+			if _, ok := metrics[bd.Path]; !ok {
+				t.Errorf("gate %s: bound path %q not in committed %s", name, bd.Path, file)
+			}
 		}
 	}
 }

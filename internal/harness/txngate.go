@@ -2,11 +2,9 @@ package harness
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,12 +203,10 @@ func txnSweepSum(s index.TxnSession, accounts int) (uint64, error) {
 // feeds the serializability checker, and read-only audits — followed by
 // transfers through OpTxn frames against a bwproto server over loopback
 // TCP. Money conservation after every phase, a clean serialization
-// graph, and zero infrastructure errors are unconditional; with a
-// committed baseline (TXN_GATE_BASELINE, default bench/BENCH_txn.json)
-// the gate also fails when low-contention commit throughput drops more
-// than TXN_GATE_TOLERANCE (default 0.35 — conflict scheduling is
-// noisier than plain reads) below baseline. The report goes to
-// BENCH_txn.json (TXN_GATE_OUT).
+// graph, and zero infrastructure errors are unconditional; the "txn"
+// bounds (gate.go) also hold low-contention commit throughput within a
+// tolerance of the committed baseline (wider than for plain reads:
+// conflict scheduling is noisier).
 func TxnGate(w io.Writer, sc Scale) {
 	const initial = uint64(1000)
 	accountsLow := sc.Keys / 20
@@ -339,16 +335,6 @@ func TxnGate(w io.Writer, sc Scale) {
 	// Phase 4: the same transfers through OpTxn frames over loopback.
 	rep.Wire = txnGateWire(w, sc, wireOps, initial, fail)
 
-	out := os.Getenv("TXN_GATE_OUT")
-	if out == "" {
-		out = "BENCH_txn.json"
-	}
-	if data, err := json.MarshalIndent(&rep, "", "  "); err == nil {
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(w, "txn: cannot write %s: %v\n", out, err)
-		}
-	}
-
 	tbl := NewTable(fmt.Sprintf("OCC transactions: %d workers, %d/%d accounts",
 		sc.Threads, accountsLow, accountsHot), "attempts", "commits", "conflicts", "Mtxn/s", "p50 µs", "p99 µs")
 	for _, row := range []struct {
@@ -361,33 +347,12 @@ func TxnGate(w io.Writer, sc Scale) {
 			fmt.Sprintf("%.2f", row.pt.P50us), fmt.Sprintf("%.2f", row.pt.P99us))
 	}
 	tbl.Note("Each transfer is 2 versioned reads + a validated 2-write commit; latencies are per attempt.")
-	tbl.Note("Report written to %s.", out)
 	tbl.WriteTo(w)
 
-	baselinePath := os.Getenv("TXN_GATE_BASELINE")
-	if baselinePath == "" {
-		baselinePath = "bench/BENCH_txn.json"
-	}
-	if data, err := os.ReadFile(baselinePath); err == nil {
-		var base TxnGateFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(w, "txn: unreadable baseline %s: %v\n", baselinePath, err)
-		} else {
-			tol := envFloat("TXN_GATE_TOLERANCE", 0.35)
-			if floor := base.TransferLow.Mcommits * (1 - tol); rep.TransferLow.Mcommits < floor {
-				fail("low-contention commit rate %.3f Mtxn/s under baseline floor %.3f (baseline %.3f, tolerance %.0f%%)",
-					rep.TransferLow.Mcommits, floor, base.TransferLow.Mcommits, tol*100)
-			} else {
-				fmt.Fprintf(w, "txn: within tolerance of baseline %s (transfer-low %.3f vs %.3f Mtxn/s)\n",
-					baselinePath, rep.TransferLow.Mcommits, base.TransferLow.Mcommits)
-			}
-		}
-	} else {
-		fmt.Fprintf(w, "txn: no baseline at %s; correctness checks only\n", baselinePath)
-	}
 	if failed {
 		gateFailures.Add(1)
 	}
+	checkGate(w, "txn", &rep, gateBounds["txn"])
 }
 
 // txnGateWire runs the loopback-TCP transfer phase against a fresh
