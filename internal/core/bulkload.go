@@ -55,19 +55,10 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		for i := range vers {
 			vers[i] = loadVer
 		}
-		nb := &delta{
-			kind:     kLeafBase,
-			isLeaf:   true,
-			size:     int32(len(keys)),
-			vals:     vals,
-			vers:     vers,
-			rightSib: invalidNode,
-		}
+		nb := t.newBase(true)
+		nb.size = int32(len(keys))
+		nb.vals, nb.vers = vals, vers
 		t.setBaseKeys(nb, keys)
-		nb.base = nb
-		if t.opts.Preallocate {
-			nb.slab = t.getSlab(true)
-		}
 		id := t.mt.Allocate()
 		if len(seps) == 0 {
 			nb.lowKey = nil
@@ -135,18 +126,11 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 				ks = append(ks, s.key)
 				kids = append(kids, s.id)
 			}
-			nb := &delta{
-				kind:     kInnerBase,
-				size:     int32(len(ks)),
-				kids:     kids,
-				lowKey:   ks[0],
-				rightSib: invalidNode,
-			}
+			nb := t.newBase(false)
+			nb.size = int32(len(ks))
+			nb.kids = kids
+			nb.lowKey = ks[0]
 			t.setBaseKeys(nb, ks)
-			nb.base = nb
-			if t.opts.Preallocate {
-				nb.slab = t.getSlab(false)
-			}
 			id := t.mt.Allocate()
 			t.mt.Store(id, nb)
 			if prevInner != nil {
@@ -159,39 +143,21 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		level = up
 	}
 
-	// Install the top node's content at the fixed root ID.
+	// Install the top node at the fixed root ID.
 	top := t.load(level[0].id)
-	var newRoot *delta
 	if top.isLeaf {
 		// Tiny load: root must remain an inner node over the leaf level.
-		newRoot = &delta{
-			kind:     kInnerBase,
-			size:     1,
-			kids:     []nodeID{level[0].id},
-			rightSib: invalidNode,
-		}
-		t.setBaseKeys(newRoot, [][]byte{nil})
+		root := t.newBase(false)
+		root.size = 1
+		root.kids = []nodeID{level[0].id}
+		t.setBaseKeys(root, [][]byte{nil})
+		t.mt.Store(t.root, root)
 	} else {
-		// Adopt the top node's key payload wholesale, whichever layout it
-		// was built with.
-		newRoot = &delta{
-			kind:     kInnerBase,
-			size:     top.size,
-			keys:     top.keys,
-			arena:    top.arena,
-			offs:     top.offs,
-			pfx:      top.pfx,
-			nil0:     top.nil0,
-			kids:     top.kids,
-			rightSib: invalidNode,
-		}
+		// The top inner node is leftmost and rightmost, so it becomes the
+		// root as it is, and its own ID is freed.
+		t.mt.Store(t.root, top)
 		t.mt.Recycle(level[0].id)
 	}
-	newRoot.base = newRoot
-	if t.opts.Preallocate {
-		newRoot.slab = t.getSlab(false)
-	}
-	t.mt.Store(t.root, newRoot)
 	t.mt.Recycle(oldLeafID)
 	return nil
 }

@@ -128,26 +128,19 @@ func (s *Session) retireChain(head *delta) {
 		s.stats.innerSlabUsed.Add(used)
 		s.stats.innerSlabCap.Add(capacity)
 	}
-	t, leaf := s.t, head.isLeaf
-	s.h.Retire(func() {
-		if leaf {
-			t.leafSlabs.put(sl)
-		} else {
-			t.innerSlabs.put(sl)
-		}
-	})
+	pool := &s.t.innerSlabs
+	if head.isLeaf {
+		pool = &s.t.leafSlabs
+	}
+	s.h.Retire(func() { sl.recycle(pool) })
 }
 
 // buildBase materializes collected content as a fresh immutable base node
 // carrying head's current attributes.
 func (s *Session) buildBase(c collected, head *delta) *delta {
-	nb := &delta{
-		isLeaf:   c.leaf,
-		size:     int32(len(c.keys)),
-		lowKey:   head.lowKey,
-		highKey:  head.highKey,
-		rightSib: head.rightSib,
-	}
+	nb := s.t.newBase(c.leaf)
+	nb.size = int32(len(c.keys))
+	nb.lowKey, nb.highKey, nb.rightSib = head.lowKey, head.highKey, head.rightSib
 	s.t.setBaseKeys(nb, c.keys)
 	if s.t.opts.anyFlatNodes() {
 		// The inherited bounds may alias the retired chain's arena (collect
@@ -157,16 +150,10 @@ func (s *Session) buildBase(c collected, head *delta) *delta {
 		nb.highKey = cloneBound(head.highKey)
 	}
 	if c.leaf {
-		nb.kind = kLeafBase
 		nb.vals = c.vals
 		nb.vers = c.vers
 	} else {
-		nb.kind = kInnerBase
 		nb.kids = c.kids
-	}
-	nb.base = nb
-	if s.t.opts.Preallocate {
-		nb.slab = s.t.getSlab(c.leaf)
 	}
 	return nb
 }

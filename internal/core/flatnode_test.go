@@ -10,7 +10,7 @@ import (
 // flatBaseFromKeys builds a flat-layout base node over keys for direct
 // search testing.
 func flatBaseFromKeys(keys [][]byte) *delta {
-	n := &delta{kind: kLeafBase, isLeaf: true, size: int32(len(keys))}
+	n := &delta{kind: kLeafBase, isLeaf: true, size: int32(len(keys)), body: &body{}}
 	n.arena, n.offs, n.pfx, n.stride, n.nil0 = buildFlat(keys)
 	n.base = n
 	return n
@@ -116,8 +116,8 @@ func TestFlatSearchMatchesSlice(t *testing.T) {
 func TestFlatRouteMatchesSlice(t *testing.T) {
 	keys := [][]byte{nil, []byte("e"), []byte("ee"), []byte("k"), []byte("r")}
 	kids := []nodeID{10, 20, 30, 40, 50}
-	slice := &delta{kind: kInnerBase, keys: keys, kids: kids}
-	flat := &delta{kind: kInnerBase, kids: kids}
+	slice := &delta{kind: kInnerBase, body: &body{keys: keys, kids: kids}}
+	flat := &delta{kind: kInnerBase, body: &body{kids: kids}}
 	flat.arena, flat.offs, flat.pfx, flat.stride, flat.nil0 = buildFlat(keys)
 
 	probes := []string{"a", "e", "e0", "ee", "eee", "j", "k", "k1", "q", "r", "z"}

@@ -39,6 +39,20 @@ func (k kind) String() string { return kindNames[k] }
 // interface dispatch. Every element carries the logical node's attributes
 // as of the moment it was appended (Table 1 of the paper), so navigation
 // and SMO decisions never need to replay the chain.
+//
+// The record itself holds only what a leaf insert/update/delete needs, so
+// a pre-allocated slab slot (§4.1) stays small and a chain walk steps
+// through dense memory. The base payload and the SMO-only fields live in
+// side structs reached through the embedded body and smo pointers (their
+// fields are promoted, so d.keys and d.child read as before):
+//
+//   - body is non-nil exactly on base records (kLeafBase, kInnerBase),
+//     allocated in the same object as the record (newBase);
+//   - smo is non-nil exactly on kSplit, kMerge, kInnerInsert and
+//     kInnerDelete records (newSMO, or attached to a slab slot for a
+//     separator post).
+//
+// Validate checks both rules on every chain.
 type delta struct {
 	kind   kind
 	isLeaf bool
@@ -81,6 +95,13 @@ type delta struct {
 	// fresh counter value — is detected. Absent keys read as version 0.
 	// Versions are in-memory only; recovery restamps from fresh counters.
 	ver uint64
+
+	*body
+	*smo
+}
+
+// smo holds the fields only structure-modification records use.
+type smo struct {
 	// child is the routed node: the new separator's child for
 	// kInnerInsert, and the new right sibling for kSplit.
 	child nodeID
@@ -97,18 +118,19 @@ type delta struct {
 	// once the merge completes.
 	mergeContent *delta
 	deleteID     nodeID
+}
 
-	// Base-node payload. keys/vals for leaves; keys/kids for inner nodes,
-	// where kids[i] covers [keys[i], keys[i+1]). keys[0] of an inner base
-	// equals the node's low key.
-	//
-	// Keys use one of two layouts (see flatnode.go): the slice layout
-	// fills keys; the flat layout (Options.FlatBaseNodes) leaves keys nil
-	// and fills arena/offs/pfx/nil0 instead — key i is
-	// arena[offs[i]:offs[i+1]], pfx is the length of the prefix shared by
-	// every key, and nil0 marks a leftmost inner base whose key 0 is the
-	// nil -inf separator. A non-nil offs identifies a flat base. Access
-	// goes through baseLen/baseKey/baseSearch*.
+// body is a base node's payload. keys/vals for leaves; keys/kids for
+// inner nodes, where kids[i] covers [keys[i], keys[i+1]). keys[0] of an
+// inner base equals the node's low key.
+//
+// Keys use one of two layouts (see flatnode.go): the slice layout fills
+// keys; the flat layout (Options.FlatBaseNodes) leaves keys nil and fills
+// arena/offs/pfx/nil0 instead — key i is arena[offs[i]:offs[i+1]], pfx is
+// the length of the prefix shared by every key, and nil0 marks a leftmost
+// inner base whose key 0 is the nil -inf separator. A non-nil offs
+// identifies a flat base. Access goes through baseLen/baseKey/baseSearch*.
+type body struct {
 	keys  [][]byte
 	arena []byte
 	offs  []uint32
@@ -131,9 +153,62 @@ type delta struct {
 	// record's version only changes when its value may have.
 	vers []uint64
 
-	// slab is the node's pre-allocated delta area (bases only, when the
-	// Preallocate optimization is on).
+	// slab is the node's pre-allocated delta area, when the Preallocate
+	// optimization is on.
 	slab *slab
+}
+
+// baseRec and smoRec co-allocate a record with its side struct, so a base
+// or an SMO record costs one allocation.
+type baseRec struct {
+	d delta
+	b body
+}
+
+type smoRec struct {
+	d delta
+	m smo
+}
+
+// newBase returns an empty base record of the given level: the one
+// allocation site of base nodes. It points base at itself, has no right
+// sibling, and carries a fresh slab when the Preallocate optimization is
+// on. Callers install the payload (setBaseKeys, vals/kids) and bounds.
+func (t *Tree) newBase(leaf bool) *delta {
+	r := &baseRec{}
+	nb := &r.d
+	nb.body = &r.b
+	nb.base = nb
+	nb.isLeaf = leaf
+	nb.kind = kInnerBase
+	if leaf {
+		nb.kind = kLeafBase
+	}
+	nb.rightSib = invalidNode
+	if t.opts.Preallocate {
+		nb.slab = t.getSlab(leaf)
+	}
+	return nb
+}
+
+// newSMO returns a heap record of SMO kind k appended to head's chain,
+// with its smo fields attached.
+func newSMO(k kind, head *delta) *delta {
+	r := &smoRec{}
+	d := &r.d
+	d.smo = &r.m
+	d.inheritFrom(head)
+	d.kind = k
+	return d
+}
+
+// hasSMO reports whether records of kind k carry smo fields.
+func (k kind) hasSMO() bool {
+	switch k {
+	case kSplit, kMerge, kInnerInsert, kInnerDelete:
+		return true
+	}
+	return false
 }
 
 // slab is the pre-allocated delta area attached to a base node (§4.1).
@@ -154,15 +229,24 @@ func newSlab(n int) *slab {
 // claim reserves one slot, or returns nil when the slab is full. A slot
 // claimed by a thread whose subsequent CaS fails is simply wasted, exactly
 // as in the paper (it lowers the utilization reported in Table 2). The
-// slot is cleared here because slabs are recycled through the epoch GC.
+// slot is zero: fresh slabs are, and a recycled slab was cleared when it
+// was reclaimed (recycle).
 func (s *slab) claim() *delta {
 	i := s.marker.Add(1) - 1
 	if int(i) >= len(s.slots) {
 		return nil
 	}
-	d := &s.slots[i]
-	*d = delta{}
-	return d
+	return &s.slots[i]
+}
+
+// recycle clears every claimed slot and returns the slab to p. It runs
+// once the slab's chain has drained from all epochs, so no reader can
+// still hold a slot; clearing drops the slots' links into the retired
+// chain (next, base, key), which would otherwise keep whole retired
+// chains and their arenas reachable while the slab sits in the pool.
+func (s *slab) recycle(p *slabPool) {
+	clear(s.slots[:s.used()])
+	p.put(s)
 }
 
 // slabPool recycles retired slabs: a Treiber stack fed by epoch-GC

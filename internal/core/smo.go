@@ -57,8 +57,7 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 	t.mt.Store(rid, right)
 
 	// Stage II: the ∆split.
-	sd := &delta{kind: kSplit}
-	sd.inheritFrom(head)
+	sd := newSMO(kSplit, head)
 	sd.key = splitKey
 	sd.child = rid
 	sd.nextKey = head.highKey
@@ -160,17 +159,10 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	t.mt.Store(lid, left)
 	t.mt.Store(rid, right)
 
-	newRoot := &delta{
-		kind:     kInnerBase,
-		size:     2,
-		rightSib: invalidNode,
-		kids:     []nodeID{lid, rid},
-	}
+	newRoot := t.newBase(false)
+	newRoot.size = 2
+	newRoot.kids = []nodeID{lid, rid}
 	t.setBaseKeys(newRoot, [][]byte{nil, splitKey})
-	newRoot.base = newRoot
-	if s.t.opts.Preallocate {
-		newRoot.slab = s.t.getSlab(false)
-	}
 	schedPoint(SPSplitRoot, t.root, rid, splitKey)
 	if !t.cas(t.root, head, newRoot) {
 		t.mt.Recycle(lid)
@@ -299,8 +291,7 @@ func (s *Session) completeSplitParts(parentID nodeID, parentHead *delta, sepKey 
 	sep.kind = kInnerInsert
 	sep.size = parentHead.size + 1
 	sep.key = sepKey
-	sep.child = child
-	sep.nextKey = nextKey
+	sep.smo = &smo{child: child, nextKey: nextKey}
 	sep.offset = -1
 	schedPoint(SPSepPost, parentID, child, sepKey)
 	if !s.t.cas(parentID, parentHead, sep) {
@@ -450,8 +441,7 @@ func (s *Session) tryMerge(parentID nodeID, parentHead *delta, id nodeID, head *
 	// Stage III: drop the victim's separator and unlock in one CaS. The
 	// ∆separator-delete links directly to the pre-lock head, so the
 	// published chain never contains the ∆abort.
-	sd := &delta{kind: kInnerDelete}
-	sd.inheritFrom(parentHead)
+	sd := newSMO(kInnerDelete, parentHead)
 	sd.size = parentHead.size - 1
 	sd.key = rm.lowKey
 	sd.leftKey = leftSepKey
@@ -535,8 +525,7 @@ func (s *Session) mergeIntoLeft(parentHead *delta, victim nodeID, rm *delta) (no
 			}
 			return origLeft, leftSepKey, true
 		default:
-			m := &delta{kind: kMerge}
-			m.inheritFrom(lhead)
+			m := newSMO(kMerge, lhead)
 			m.key = rm.lowKey
 			m.mergeContent = rm.next
 			m.deleteID = victim

@@ -98,25 +98,14 @@ func New(opts Options) *Tree {
 
 	t.root = t.mt.Allocate()
 	leafID := t.mt.Allocate()
-	leaf := &delta{kind: kLeafBase, isLeaf: true, rightSib: invalidNode}
+	leaf := t.newBase(true)
 	t.setBaseKeys(leaf, nil)
-	leaf.base = leaf
-	if opts.Preallocate {
-		leaf.slab = t.getSlab(true)
-	}
 	t.mt.Store(leafID, leaf)
 
-	root := &delta{
-		kind:     kInnerBase,
-		rightSib: invalidNode,
-		kids:     []nodeID{leafID},
-		size:     1,
-	}
+	root := t.newBase(false)
+	root.kids = []nodeID{leafID}
+	root.size = 1
 	t.setBaseKeys(root, [][]byte{nil}) // -inf separator
-	root.base = root
-	if opts.Preallocate {
-		root.slab = t.getSlab(false)
-	}
 	t.mt.Store(t.root, root)
 	return t
 }

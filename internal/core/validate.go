@@ -15,6 +15,7 @@ import (
 //   - sibling links stitch leaves into one ordered chain
 //   - inner separators route exactly onto their children's low keys
 //   - the item count attribute matches the materialized content
+//   - every chain element follows the record layout rule (checkLayout)
 func (t *Tree) Validate() error {
 	s := t.NewSession()
 	defer s.Release()
@@ -31,6 +32,9 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 	}
 	if !sameKey(head.lowKey, low) {
 		return fmt.Errorf("node %d: low key %q, parent separator %q", id, head.lowKey, low)
+	}
+	if err := checkLayout(id, head); err != nil {
+		return err
 	}
 	c := s.collect(head)
 	if int(head.size) != len(c.keys) {
@@ -69,6 +73,36 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 			}
 			if err := t.validateNode(s, c.kids[i], c.keys[i], childHigh); err != nil {
 				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkLayout checks the record layout rule of delta on every element of
+// head's chain, absorbed merge branches included: a base carries a body,
+// no smo, and points base at itself; a delta record carries no body, and
+// an smo exactly when its kind is an SMO kind.
+func checkLayout(id nodeID, head *delta) error {
+	pending := []*delta{head}
+	for len(pending) > 0 {
+		d := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		for ; d != nil; d = d.next {
+			switch d.kind {
+			case kLeafBase, kInnerBase:
+				if d.body == nil || d.smo != nil || d.base != d {
+					return fmt.Errorf("node %d: %v with body=%t smo=%t self-based=%t",
+						id, d.kind, d.body != nil, d.smo != nil, d.base == d)
+				}
+			default:
+				if d.body != nil || (d.smo != nil) != d.kind.hasSMO() {
+					return fmt.Errorf("node %d: %v record with body=%t smo=%t",
+						id, d.kind, d.body != nil, d.smo != nil)
+				}
+				if d.kind == kMerge {
+					pending = append(pending, d.mergeContent)
+				}
 			}
 		}
 	}

@@ -111,16 +111,6 @@ func (r *RangeRouter) NumShards() int { return len(r.bounds) + 1 }
 // Name returns "range".
 func (r *RangeRouter) Name() string { return "range" }
 
-// scanFrom returns the first shard whose range can contain a key >=
-// start, letting Session.Scan skip shards that end before the scan
-// begins. Hash-routed stores always scan every shard.
-func scanFrom(r Router, start []byte) int {
-	if rr, ok := r.(*RangeRouter); ok {
-		return rr.Shard(start)
-	}
-	return 0
-}
-
 // NewRouter builds a router by scheme name ("hash" or "range").
 func NewRouter(scheme string, n int) (Router, error) {
 	switch scheme {

@@ -151,6 +151,7 @@ func (c *cursor) fill(chunk int) bool {
 // key >= start, gathered across every shard through a merged k-way
 // iterator: each shard contributes an ordered chunk stream and the merge
 // emits the minimum head until n pairs are out or all streams dry up.
+// Range-routed stores skip the merge (scanRanged).
 //
 // Ordering rule under concurrency: each chunk is one atomic shard scan,
 // and chunks restart at the successor of the last emitted key, so the
@@ -167,17 +168,19 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 		// so it means "from the beginning".
 		start = minStartKey
 	}
+	if rr, ok := s.st.router.(*RangeRouter); ok {
+		return s.scanRanged(rr.Shard(start), start, n, visit)
+	}
 	chunk := scanChunk
 	if n < chunk {
 		chunk = n
 	}
-	from := scanFrom(s.st.router, start)
 	if cap(s.curs) < len(s.subs) {
 		s.curs = make([]cursor, len(s.subs))
 	}
 	// active holds pointers to the cursors with a live head.
 	active := s.active[:0]
-	for i := from; i < len(s.subs); i++ {
+	for i := range s.subs {
 		c := &s.curs[i]
 		c.tail = false
 		c.sub = s.subs[i]
@@ -214,6 +217,25 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 				active = active[:len(active)-1]
 			}
 		}
+	}
+	return count
+}
+
+// scanRanged is Scan over a range-routed store. Its shards are disjoint
+// and ordered, so no merge or buffering is needed: each shard from from
+// (the one owning start; every earlier shard ends below start) scans
+// straight into visit, asked for the pairs still missing, and shard i+1
+// is opened only once shard i has run dry — a scan that ends inside one
+// shard reads no other.
+func (s *Session) scanRanged(from int, start []byte, n int, visit func(key []byte, value uint64) bool) int {
+	count, stopped := 0, false
+	counted := func(k []byte, v uint64) bool {
+		count++
+		stopped = !visit(k, v)
+		return !stopped
+	}
+	for i := from; i < len(s.subs) && count < n && !stopped; i++ {
+		s.subs[i].Scan(start, n-count, counted)
 	}
 	return count
 }

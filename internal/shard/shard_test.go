@@ -65,7 +65,7 @@ func TestRangeRouterOrder(t *testing.T) {
 	// Routing must be monotone in the key: ascending keys never route to
 	// a lower shard (the property scatter-gather skipping relies on).
 	prev := 0
-	for i := uint64(0); i < 1 << 16; i += 97 {
+	for i := uint64(0); i < 1<<16; i += 97 {
 		k := []byte{byte(i >> 8), byte(i), 0xab}
 		s := r.Shard(k)
 		if s < prev {
@@ -146,6 +146,100 @@ func TestScanChunkBoundaries(t *testing.T) {
 	if visited != 3 || got != 3 {
 		t.Fatalf("early stop: visited=%d ret=%d, want 3", visited, got)
 	}
+}
+
+// scanCounter wraps a shard sub-session and counts the pairs its Scan
+// calls deliver.
+type scanCounter struct {
+	subSession
+	calls, pairs *int
+}
+
+func (c scanCounter) Scan(start []byte, n int, visit func([]byte, uint64) bool) int {
+	*c.calls++
+	got := c.subSession.Scan(start, n, visit)
+	*c.pairs += got
+	return got
+}
+
+// TestRangeScanOpensShardsLazily checks that a range-routed scan reads
+// its shards in order and opens a shard only when the previous one has
+// run dry: a short scan inside shard 0 never touches shards 1..k-1, and
+// a scan across a boundary reads only the pairs it returns.
+func TestRangeScanOpensShardsLazily(t *testing.T) {
+	const k = 4
+	bounds := make([][]byte, k-1)
+	for i := range bounds {
+		bounds[i] = key64(uint64(i+1) * 1000)
+	}
+	st, err := Open(Options{Shards: k, Router: mustRange(t, bounds), Tree: smallTreeOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := st.NewSession()
+	defer s.Release()
+	for i := uint64(0); i < k*1000; i += 2 {
+		if ok, err := s.Insert(key64(i), i); err != nil || !ok {
+			t.Fatalf("insert %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	calls, pairs := make([]int, k), make([]int, k)
+	for i := range s.subs {
+		s.subs[i] = scanCounter{s.subs[i], &calls[i], &pairs[i]}
+	}
+	scan := func(start uint64, n int) []uint64 {
+		clear(calls)
+		clear(pairs)
+		var got []uint64
+		s.Scan(key64(start), n, func(key []byte, _ uint64) bool {
+			got = append(got, binary.BigEndian.Uint64(key))
+			return true
+		})
+		return got
+	}
+
+	if got := scan(10, 20); len(got) != 20 || got[0] != 10 || got[19] != 48 {
+		t.Fatalf("short scan in shard 0: got %d keys %v", len(got), got)
+	}
+	if calls[0] != 1 || pairs[0] != 20 {
+		t.Fatalf("shard 0: %d scans, %d pairs; want 1 scan of 20 pairs", calls[0], pairs[0])
+	}
+	for i := 1; i < k; i++ {
+		if calls[i] != 0 {
+			t.Fatalf("short scan in shard 0 touched shard %d (%d scans)", i, calls[i])
+		}
+	}
+
+	// Crossing into shard 1: shard 0 runs dry after 5 pairs, shard 1
+	// supplies exactly the remaining 15, and shards 2..3 stay closed.
+	got := scan(990, 20)
+	if len(got) != 20 || got[0] != 990 || got[5] != 1000 || got[19] != 1028 {
+		t.Fatalf("boundary scan: got %v", got)
+	}
+	if pairs[0] != 5 || pairs[1] != 15 || calls[2] != 0 || calls[3] != 0 {
+		t.Fatalf("boundary scan read pairs %v over scans %v", pairs, calls)
+	}
+
+	// Early stop across the boundary: visit returning false ends the
+	// scan at once, and the stopping pair counts.
+	visited := 0
+	got2 := s.Scan(key64(996), 20, func([]byte, uint64) bool {
+		visited++
+		return visited < 4
+	})
+	if visited != 4 || got2 != 4 || calls[2] != 0 {
+		t.Fatalf("early stop: visited=%d ret=%d scans %v, want 4", visited, got2, calls)
+	}
+}
+
+func mustRange(t *testing.T, bounds [][]byte) Router {
+	t.Helper()
+	r, err := NewRangeRouterBounds(bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestScatterGatherOracle is the satellite's concurrency test: a merged
